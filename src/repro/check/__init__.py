@@ -46,7 +46,7 @@ from repro.check.model import Issue, check_instance, format_issues, has_errors, 
 
 # The plan and query passes import the engine and PXQL layers, which in
 # turn import repro.core — and repro.core imports the model pass (via
-# the repro.core.lint shim).  Loading them lazily (PEP 562) keeps this
+# its package init).  Loading them lazily (PEP 562) keeps this
 # package importable from anywhere in that cycle.
 _LAZY = {
     "check_plan": "repro.check.plans",

@@ -18,9 +18,9 @@ union bound over incoming chains and the lower bound falls back to zero
 Paths whose upper bound is zero are pruned: the dataguide therefore
 contains a label path **iff** that path has nonzero existence
 probability, which is exactly the oracle the plan checker needs to flag
-statically doomed path expressions — and the oracle the query engine's
-:class:`~repro.index.pathindex.PathIndex` reuses to skip instances that
-provably cannot match.  :class:`DataGuideCache` memoizes guides per
+statically doomed path expressions — and the seed of the abstract
+interpreter's existence intervals, whose certificate is the query
+engine's proof that a plan provably matches nothing.  :class:`DataGuideCache` memoizes guides per
 ``(name, version, generation)`` against a
 :class:`~repro.storage.database.Database`, so repeated checks of an
 unchanged catalog are free but cross-process catalog mutations (which

@@ -19,7 +19,7 @@ Severities:
 * ``warning`` — legal but suspicious: dead objects, unreachable mass,
   children that can never be chosen, degenerate distributions.
 
-``repro.core.lint`` remains as a thin re-export shim for back-compat.
+``repro.core`` re-exports :func:`lint_instance` and friends.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """The PSD probabilistic data model (Section 3 of the paper)."""
 
+from repro.check.model import Issue, format_issues, has_errors, lint_instance
 from repro.core.builder import InstanceBuilder
 from repro.core.cardinality import CardinalityInterval
 from repro.core.compact import (
@@ -16,7 +17,6 @@ from repro.core.distributions import (
     ValueProbabilityFunction,
 )
 from repro.core.instance import ProbabilisticInstance
-from repro.core.lint import Issue, format_issues, has_errors, lint_instance
 from repro.core.interpretation import LocalInterpretation
 from repro.core.potential import (
     ChildSet,

@@ -83,7 +83,7 @@ from repro.engine.plan import (
 )
 from repro.engine.rewrite import DEFAULT_RULES, INDEX_RULES, optimize
 from repro.errors import AlgebraError, BudgetExceeded
-from repro.index import IndexCache, PathIndex, match_path_indexed
+from repro.index import IndexCache, match_path_indexed
 from repro.index.columnar import ColumnarInstance
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.tracing import Span, Tracer, use_tracer
@@ -99,9 +99,9 @@ _PROJECTION_OPERATORS = {
     "single": single_projection_local,
 }
 
-#: Constant results of the numeric query kinds when the dataguide proves
-#: the path matches nothing with certainty (factories, so dict results
-#: are never shared between statements).
+#: Constant results of the numeric query kinds when the absint
+#: certificate proves the path matches nothing with certainty
+#: (factories, so dict results are never shared between statements).
 _SKIP_RESULTS = {
     "exists": lambda: 0.0,
     "count": lambda: 0.0,
@@ -240,7 +240,8 @@ class Engine:
         database: the catalog plans scan (must expose ``get`` and
             ``version``; :class:`repro.storage.database.Database` does).
         optimizer: apply the rewrite rules (off = execute plans as
-            written, for A/B parity against the naive path).
+            written, as in the bare configuration the PXQL interpreter
+            degrades to).
         caching: keep a versioned result cache across executions.
         cache_size: LRU capacity of the plan and result caches.
         copy_on_hit: hand out copies of cached instances so callers can
@@ -348,7 +349,6 @@ class Engine:
         )
         self.rules = DEFAULT_RULES
         self.index_cache = IndexCache()
-        self.path_index = PathIndex()
         self.absint_cache = LRUCache(
             cache_size, name="engine.cache.absint", metrics=self.metrics
         )
@@ -533,24 +533,6 @@ class Engine:
                     fingerprint(node), facts.card.lo, facts.card.hi
                 )
 
-    def _index_skip_would_fire(self, prepared: PlanNode) -> bool:
-        """Whether the indexed executor's own dataguide skip will handle
-        this plan (it keeps its historical ``index.skipped_instances``
-        accounting, so the absint short-circuit defers to it)."""
-        if not (
-            self.use_index
-            and isinstance(prepared, IndexedPathStepNode)
-            and prepared.op != "project-ancestor"
-            and isinstance(prepared.child, ScanNode)
-        ):
-            return False
-        try:
-            return self.path_index.can_match(
-                self.database, prepared.child.name, prepared.path
-            ) is False
-        except Exception:
-            return False
-
     def _skip_execution(
         self, prepared: PlanNode, certificate: PlanCertificate
     ) -> tuple[object, NodeStats]:
@@ -726,11 +708,7 @@ class Engine:
             with self.tracer.span("engine.execute_plan") as root:
                 prepared, applied = self.prepare(plan)
                 certificate = self.certify(prepared)
-                if (
-                    certificate is not None
-                    and certificate.skippable
-                    and not self._index_skip_would_fire(prepared)
-                ):
+                if certificate is not None and certificate.skippable:
                     value, stats = self._skip_execution(prepared, certificate)
                 else:
                     value, _extra, stats = self._run(prepared)
@@ -910,33 +888,17 @@ class Engine:
     ) -> tuple[object, str, dict]:
         """Evaluate a lowered path step via the columnar index.
 
-        Three exits, in order:
+        Two exits (provably empty paths never get here: the absint
+        short-circuit in :meth:`execute_plan` serves them):
 
-        1. *skip* — for numeric query ops, the catalog's dataguide proves
-           the path has zero existence probability, so the answer is a
-           constant and the instance is never matched at all;
-        2. *indexed* — match on the columnar snapshot and feed the
+        1. *indexed* — match on the columnar snapshot and feed the
            (identical) :class:`PathMatch` to the Section 6 algorithms;
-        3. *fallback* — the snapshot cannot be built or is not a tree
+        2. *fallback* — the snapshot cannot be built or is not a tree
            (the plan-time estimate was stale): run the walked operator
            the lowering replaced.  Correctness never depends on the
            plan-time guess.
         """
         name = node.child.name if isinstance(node.child, ScanNode) else None
-
-        if name is not None and node.op != "project-ancestor":
-            # Guide-based pruning is only sound for the numeric query
-            # kinds: a project-ancestor result is an *instance* whose
-            # bare-root skeleton the shortcut could not reproduce.
-            if self.path_index.can_match(self.database, name, node.path) is False:
-                self.metrics.counter("index.skipped_instances").inc()
-                with self.tracer.span(
-                    f"query.{node.op}", strategy="indexed", index="skipped"
-                ) as qspan:
-                    value = _SKIP_RESULTS[node.op]()
-                self._record_indexed_query(node.op, qspan)
-                return value, "indexed", {"index": "skipped"}
-
         col: ColumnarInstance | None = None
         if name is not None:
             try:

@@ -4,9 +4,12 @@ The `repro.check` dataguide already is a path -> posting-list map with a
 sharp membership guarantee: a label path appears in the guide **iff**
 some object satisfies it with nonzero probability.  :class:`PathIndex`
 reuses the (version- and generation-cached) guides as a query-time
-pruning structure: before matching a path against an instance, the
-engine asks :meth:`PathIndex.can_match` and skips the instance entirely
-when the guide proves the answer is "no match, with certainty".
+pruning structure: :meth:`PathIndex.can_match` answers whether a path
+can match an instance at all, and "no match, with certainty" when the
+guide proves it.  The engine itself short-circuits provably empty plans
+through the abstract interpreter (:mod:`repro.check.absint`), which
+seeds from the same guides; the property suite checks that every
+``False`` here is also a skippable certificate there.
 
 The answer is tri-state: ``True`` (the path has nonzero existence
 probability), ``False`` (provably zero — safe to short-circuit numeric

@@ -2,8 +2,9 @@
 
 Algebra statements (PROJECT / SELECT / PRODUCT) produce new probabilistic
 instances — registered under the ``AS`` name when given, otherwise under
-an auto-generated ``_resultN`` name — so queries compose across
-statements exactly the way Section 2's situations chain operations.
+an auto-generated ``_resultN`` name the catalog does not hold yet — so
+queries compose across statements exactly the way Section 2's situations
+chain operations.
 Query statements (POINT / EXISTS / CHAIN / PROB) return probabilities.
 
 Since the engine PR, algebra and query statements are routed through
@@ -12,9 +13,8 @@ lineage of registered results is inlined so rewrite rules can work
 across statement boundaries, sub-plan results are cached under
 ``(fingerprint, instance versions)`` keys, and ``EXPLAIN`` /
 ``EXPLAIN ANALYZE`` expose the chosen plan, per-node strategy, timings
-and cache status.  Construct the interpreter with ``strategy="naive"``
-to get the original eager one-call-per-statement path (used by the
-parity test suite for A/B comparison).
+and cache status.  The engine is the only execution path; the parity
+suites compare it against the Section 6 algorithms called directly.
 
 Efficient algorithms are used on tree-structured instances; DAGs fall
 back to the exact Bayesian-network / global engines automatically.
@@ -26,23 +26,16 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from repro.algebra.projection_more import (
-    descendant_projection_local,
-    single_projection_local,
-)
-from repro.algebra.projection_prob import ancestor_projection_local
-from repro.algebra.product import cartesian_product
 from repro.algebra.selection import (
     ObjectCardinalityCondition,
     ObjectCondition,
     ObjectValueCondition,
-    select_local,
 )
 from repro.check.dataguide import DataGuideCache
 from repro.check.diagnostics import ERROR, CheckError, Diagnostic, DiagnosticReport
 from repro.core.cardinality import CardinalityInterval
 from repro.core.instance import ProbabilisticInstance
-from repro.engine.executor import Engine, ExecutionResult, check_probability_guard
+from repro.engine.executor import Engine, ExecutionResult
 from repro.errors import BudgetExceeded, EmptyResultError, PXMLError
 from repro.obs.export import render_span_tree
 from repro.obs.metrics import MetricsRegistry, use_registry
@@ -50,26 +43,24 @@ from repro.obs.slowlog import SlowQueryLog
 from repro.obs.tracing import Tracer, use_tracer
 from repro.pxql import ast
 from repro.pxql.parser import SpanMap, parse, parse_spanned
-from repro.queries.engine import QueryEngine
 from repro.render import render_distribution, render_instance
 from repro.resilience.budget import Budget, use_budget
 from repro.semantics.global_interpretation import GlobalInterpretation
 from repro.storage.database import Database, DatabaseError
 
-_STRATEGIES = ("engine", "naive")
 _CHECK_MODES = ("error", "warn", "off")
 
 #: Statement kinds routed through the engine — the ones the graceful
-#: degradation path can re-run on the naive strategy.
+#: degradation path can re-run on the bare engine configuration.
 _ENGINE_ROUTED = (
     ast.ProjectStatement, ast.SelectStatement, ast.ProductStatement,
     ast.PointStatement, ast.ExistsStatement, ast.ChainStatement,
     ast.ProbStatement, ast.CountStatement, ast.DistStatement,
 )
 
-#: Failures that must *not* trigger the naive fallback: budgets are
+#: Failures that must *not* trigger the bare-engine re-run: budgets are
 #: user-imposed limits, check/catalog/empty-result errors are semantic —
-#: the naive path would fail identically (or worse, mask the limit).
+#: the re-run would fail identically (or worse, mask the limit).
 _FALLBACK_EXEMPT = (
     BudgetExceeded, CheckError, DatabaseError, EmptyResultError,
 )
@@ -95,10 +86,12 @@ class Result:
 class Interpreter:
     """Executes PXQL statements against a :class:`Database`.
 
+    Every algebra and query statement runs on the :class:`Engine`; an
+    unexpected engine failure is re-run once on the bare engine
+    configuration (see :meth:`_dispatch`).
+
     Args:
         database: the catalog to execute against (fresh one if omitted).
-        strategy: ``"engine"`` (plan, optimize, cache) or ``"naive"``
-            (the original eager path; kept for A/B parity testing).
         optimizer: whether the engine applies its rewrite rules.
         use_index: whether the engine lowers path navigation onto the
             structural index (:mod:`repro.index`); off = pre-index plans.
@@ -118,10 +111,12 @@ class Interpreter:
             if omitted).
     """
 
+    #: Auto-generated result names are this prefix plus a counter.
+    _result_prefix = "_result"
+
     def __init__(
         self,
         database: Database | None = None,
-        strategy: str = "engine",
         optimizer: bool = True,
         use_index: bool = True,
         cache_size: int = 256,
@@ -130,17 +125,11 @@ class Interpreter:
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        if strategy not in _STRATEGIES:
-            raise PXMLError(
-                f"unknown interpreter strategy {strategy!r}; "
-                f"choose one of {_STRATEGIES}"
-            )
         if check not in _CHECK_MODES:
             raise PXMLError(
                 f"unknown check mode {check!r}; choose one of {_CHECK_MODES}"
             )
         self.database = database if database is not None else Database()
-        self.strategy = strategy
         self.check = check
         self.tracer = tracer if tracer is not None else Tracer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -167,9 +156,9 @@ class Interpreter:
         self.last_diagnostics: list[Diagnostic] = []
         #: Session-wide statement deadline set by ``SET TIMEOUT`` (None: off).
         self._session_timeout_s: float | None = None
-        #: Record of graceful degradations: ``(statement label, engine error)``
-        #: for every statement that was retried on the naive path.
-        self.fallbacks: list[tuple[str, Exception]] = []
+        #: The bare engine configuration degradation re-runs on, built
+        #: on first use (see :meth:`_dispatch`).
+        self._bare_engine: Engine | None = None
 
     # ------------------------------------------------------------------
     def execute(self, text: str) -> Result:
@@ -242,24 +231,23 @@ class Interpreter:
             yield budget
 
     def _dispatch(self, handler, statement: ast.Statement, label: str):
-        """Run a handler, degrading engine failures to the naive path.
+        """Run a handler, re-running engine failures on the bare engine.
 
-        An unexpected engine-strategy failure on an engine-routed
-        statement is retried once with ``strategy="naive"`` — the
-        original eager path, which shares no planner/optimizer/cache
-        machinery with the engine — and recorded in :attr:`fallbacks`,
-        the ``resilience.fallbacks`` counter and a ``resilience.fallback``
-        trace event.  Budget, check, catalog and empty-result errors
-        propagate untouched (see ``_FALLBACK_EXEMPT``).
+        An unexpected failure of an engine-routed statement is retried
+        once on :meth:`_bare`, the engine configuration with no rewrite
+        rules, caches, lineage inlining, index or abstract interpreter —
+        just the Section 6 algorithms behind the planner — and recorded
+        in the ``resilience.fallbacks`` counter and a
+        ``resilience.fallback`` trace event.  Budget, check, catalog and
+        empty-result errors propagate untouched (see
+        ``_FALLBACK_EXEMPT``).
         """
         try:
             return handler(statement)
         except _FALLBACK_EXEMPT:
             raise
         except Exception as exc:
-            if self.strategy != "engine" or not isinstance(
-                statement, _ENGINE_ROUTED
-            ):
+            if not isinstance(statement, _ENGINE_ROUTED):
                 raise
             self.metrics.counter("resilience.fallbacks").inc()
             self.tracer.event(
@@ -267,12 +255,22 @@ class Interpreter:
                 statement=label,
                 error=f"{type(exc).__name__}: {exc}",
             )
-            self.fallbacks.append((label, exc))
-            self.strategy = "naive"
+            engine = self.engine
+            self.engine = self._bare()
             try:
                 return handler(statement)
             finally:
-                self.strategy = "engine"
+                self.engine = engine
+
+    def _bare(self) -> Engine:
+        """The degradation target: a plain engine over the same catalog."""
+        if self._bare_engine is None:
+            self._bare_engine = Engine(
+                self.database, optimizer=False, caching=False,
+                inline_lineage=False, use_index=False, absint=False,
+                disk_cache=False, tracer=self.tracer, metrics=self.metrics,
+            )
+        return self._bare_engine
 
     def _static_diagnostics(
         self,
@@ -299,16 +297,22 @@ class Interpreter:
 
     # ------------------------------------------------------------------
     def _fresh_name(self) -> str:
-        self._counter += 1
-        return f"_result{self._counter}"
+        """The next unused auto-generated result name.
+
+        Names the catalog already holds (say, a ``_result1`` saved by an
+        earlier session over the same directory) are skipped, so an
+        unnamed result never overwrites one.
+        """
+        while True:
+            self._counter += 1
+            name = f"{self._result_prefix}{self._counter}"
+            if name not in self.database:
+                return name
 
     def _register(self, target: str | None, instance: ProbabilisticInstance) -> str:
         name = target if target is not None else self._fresh_name()
         self.database.register(name, instance, replace=True)
         return name
-
-    def _query_engine(self, name: str) -> QueryEngine:
-        return QueryEngine(self.database.get(name))
 
     # ------------------------------------------------------------------
     # Engine routing
@@ -332,18 +336,8 @@ class Interpreter:
     # Algebra statements
     # ------------------------------------------------------------------
     def _run_ProjectStatement(self, stmt: ast.ProjectStatement) -> Result:
-        if self.strategy == "naive":
-            source = self.database.get(stmt.source)
-            operator = {
-                "ancestor": ancestor_projection_local,
-                "descendant": descendant_projection_local,
-                "single": single_projection_local,
-            }[stmt.kind]
-            projected = operator(source, stmt.path)
-            name = self._register(stmt.target, projected)
-        else:
-            execution, name = self._engine_algebra(stmt, stmt.target)
-            projected = execution.value
+        execution, name = self._engine_algebra(stmt, stmt.target)
+        projected = execution.value
         return Result(
             projected, name,
             f"{stmt.kind} projection of {stmt.path} -> {name} "
@@ -351,24 +345,11 @@ class Interpreter:
         )
 
     def _run_SelectStatement(self, stmt: ast.SelectStatement) -> Result:
-        condition = self._condition_of(stmt)
-        if self.strategy == "naive":
-            source = self.database.get(stmt.source)
-            selection = select_local(source, condition)
-            check_probability_guard(
-                selection.probability, stmt.prob_op, stmt.prob_bound
-            )
-            instance = selection.instance
-            probability = selection.probability
-            name = self._register(stmt.target, instance)
-        else:
-            execution, name = self._engine_algebra(stmt, stmt.target)
-            instance = execution.value
-            probability = execution.condition_probability
+        execution, name = self._engine_algebra(stmt, stmt.target)
         return Result(
-            instance, name,
-            f"selection [{condition}] -> {name} "
-            f"(condition probability {probability:.6g})",
+            execution.value, name,
+            f"selection [{self._condition_of(stmt)}] -> {name} "
+            f"(condition probability {execution.condition_probability:.6g})",
         )
 
     @staticmethod
@@ -383,16 +364,8 @@ class Interpreter:
         return ObjectCondition(stmt.path, stmt.oid)
 
     def _run_ProductStatement(self, stmt: ast.ProductStatement) -> Result:
-        if self.strategy == "naive":
-            product = cartesian_product(
-                self.database.get(stmt.left),
-                self.database.get(stmt.right),
-                stmt.new_root,
-            )
-            name = self._register(stmt.target, product)
-        else:
-            execution, name = self._engine_algebra(stmt, stmt.target)
-            product = execution.value
+        execution, name = self._engine_algebra(stmt, stmt.target)
+        product = execution.value
         return Result(
             product, name,
             f"product of {stmt.left} and {stmt.right} -> {name} "
@@ -403,68 +376,42 @@ class Interpreter:
     # Query statements
     # ------------------------------------------------------------------
     def _run_PointStatement(self, stmt: ast.PointStatement) -> Result:
-        if self.strategy == "naive":
-            probability = self._query_engine(stmt.source).point(stmt.path, stmt.oid)
-        else:
-            probability = self._engine_query(stmt).value
+        probability = self._engine_query(stmt).value
         return Result(
             probability, None,
             f"P({stmt.oid} in {stmt.path}) = {probability:.6g}",
         )
 
     def _run_ExistsStatement(self, stmt: ast.ExistsStatement) -> Result:
-        if self.strategy == "naive":
-            probability = self._query_engine(stmt.source).exists(stmt.path)
-        else:
-            probability = self._engine_query(stmt).value
+        probability = self._engine_query(stmt).value
         return Result(
             probability, None,
             f"P(exists {stmt.path}) = {probability:.6g}",
         )
 
     def _run_ChainStatement(self, stmt: ast.ChainStatement) -> Result:
-        if self.strategy == "naive":
-            probability = self._query_engine(stmt.source).chain(list(stmt.chain))
-        else:
-            probability = self._engine_query(stmt).value
+        probability = self._engine_query(stmt).value
         return Result(
             probability, None,
             f"P({'.'.join(stmt.chain)}) = {probability:.6g}",
         )
 
     def _run_ProbStatement(self, stmt: ast.ProbStatement) -> Result:
-        if self.strategy == "naive":
-            probability = self._query_engine(stmt.source).object_exists(stmt.oid)
-        else:
-            probability = self._engine_query(stmt).value
+        probability = self._engine_query(stmt).value
         return Result(
             probability, None,
             f"P({stmt.oid} exists) = {probability:.6g}",
         )
 
     def _run_CountStatement(self, stmt: ast.CountStatement) -> Result:
-        if self.strategy == "naive":
-            from repro.queries.aggregates import expected_match_count
-
-            expectation = expected_match_count(
-                self.database.get(stmt.source), stmt.path
-            )
-        else:
-            expectation = self._engine_query(stmt).value
+        expectation = self._engine_query(stmt).value
         return Result(
             expectation, None,
             f"E[#objects in {stmt.path}] = {expectation:.6g}",
         )
 
     def _run_DistStatement(self, stmt: ast.DistStatement) -> Result:
-        if self.strategy == "naive":
-            from repro.queries.aggregates import match_count_distribution
-
-            distribution = match_count_distribution(
-                self.database.get(stmt.source), stmt.path
-            )
-        else:
-            distribution = self._engine_query(stmt).value
+        distribution = self._engine_query(stmt).value
         rows = "\n".join(
             f"  {count}: {probability:.6g}"
             for count, probability in sorted(distribution.items())

@@ -69,17 +69,14 @@ _STOPPED = "stopped"
 
 
 class _WorkerInterpreter(Interpreter):
-    """An interpreter whose auto-generated result names carry the worker
-    index (``_w3_result1``), so unnamed results from concurrent workers
-    never collide in the shared catalog."""
+    """An interpreter whose auto-generated result names carry a worker
+    prefix (``_w3_result1``; ``_s1_w3_result1`` inside shard 1), so
+    unnamed results from concurrent workers — or from sibling shards
+    behind one router — never collide."""
 
-    def __init__(self, worker: int, **kwargs: object) -> None:
+    def __init__(self, prefix: str, **kwargs: object) -> None:
         super().__init__(**kwargs)  # type: ignore[arg-type]
-        self._worker = worker
-
-    def _fresh_name(self) -> str:
-        self._counter += 1
-        return f"_w{self._worker}_result{self._counter}"
+        self._result_prefix = f"{prefix}_result"
 
 
 class PXQLServer:
@@ -140,7 +137,7 @@ class PXQLServer:
 
     def _default_interpreter(self, worker: int) -> Interpreter:
         return _WorkerInterpreter(
-            worker,
+            f"_w{worker}",
             database=self.database,
             tracer=self.tracer,
             metrics=self.metrics,

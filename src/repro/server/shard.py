@@ -85,7 +85,6 @@ from repro.server.rebalance import (
     RebalanceStatus,
     ShardManifest,
     build_ring,
-    hash_position,
     plan_rebalance,
     read_manifest,
     resume_rebalance,
@@ -216,7 +215,7 @@ class _ShardRuntime:
     """The serving loop living inside one shard process."""
 
     def __init__(self, config: ShardConfig, conn: Connection) -> None:
-        from repro.server.server import PXQLServer
+        from repro.server.server import PXQLServer, _WorkerInterpreter
 
         self.config = config
         self.conn = conn
@@ -225,11 +224,20 @@ class _ShardRuntime:
         if config.default_deadline_s is not None:
             deadline = config.default_deadline_s
             budget_factory = lambda: Budget(deadline_s=deadline)  # noqa: E731
+        tracer, metrics = Tracer(), MetricsRegistry()
         self.server = PXQLServer(
             database=self.database,
             workers=config.workers,
             queue_size=config.queue_size,
             budget_factory=budget_factory,
+            tracer=tracer,
+            metrics=metrics,
+            # Fresh result names carry the shard index: two shards'
+            # unnamed results must not meet under one name at the router.
+            interpreter_factory=lambda worker: _WorkerInterpreter(
+                f"_s{config.index}_w{worker}", database=self.database,
+                tracer=tracer, metrics=metrics,
+            ),
             poll_s=config.poll_s,
             name=f"shard{config.index}",
         )
@@ -1169,10 +1177,18 @@ class ShardedServer:
             self.metrics.counter("router.adopted_instances").inc(adopted)
             self.tracer.event("router.adopted_instances", count=adopted)
 
-    def _fresh_name(self) -> str:
-        with self._counter_lock:
-            self._counter += 1
-            return f"_router_result{self._counter}"
+    def _fresh_name(self, timeout_s: float) -> str:
+        """The next ``_router_resultN`` its owning shard does not hold
+        (a reopened root may already serve a saved ``_router_result1``)."""
+        while True:
+            with self._counter_lock:
+                self._counter += 1
+                name = f"_router_result{self._counter}"
+            held = self._handles[self.owner(name)].call(
+                {"op": "names"}, timeout_s=timeout_s
+            )
+            if not isinstance(held, list) or name not in held:
+                return name
 
     # ------------------------------------------------------------------
     # Admission
@@ -1304,57 +1320,36 @@ class ShardedServer:
             payload["deadline_s"] = deadline_s
         remote = handle.request(payload)  # raises ShardUnavailable when dead
 
+        def _failed(error: BaseException) -> None:
+            retry_shard = self._dual_check_shard(inner, shard, error, retried)
+            if retry_shard is None:
+                self.metrics.counter("router.failed").inc()
+                outer.set_error(error)
+                return
+            self.metrics.counter("router.dual_check_retries").inc()
+            chained = self._submit_to_shard(
+                retry_shard, text, deadline_s, inner, retried=True
+            )
+
+            def _chain(p: PendingResult) -> None:
+                chained_error = p.error(0.0)
+                if chained_error is not None:
+                    outer.set_error(chained_error)
+                else:
+                    outer.set_result(p.result(0.0))
+
+            chained.add_done_callback(_chain)
+
         def _resolved(pending: PendingResult) -> None:
             error = pending.error(0.0)
             if error is not None:
-                retry_shard = self._dual_check_shard(
-                    inner, shard, error, retried
-                )
-                if retry_shard is not None:
-                    self.metrics.counter("router.dual_check_retries").inc()
-                    chained = self._submit_to_shard(
-                        retry_shard, text, deadline_s, inner, retried=True
-                    )
-
-                    def _chain(p: PendingResult) -> None:
-                        chained_error = p.error(0.0)
-                        if chained_error is not None:
-                            outer.set_error(chained_error)
-                        else:
-                            outer.set_result(p.result(0.0))
-
-                    chained.add_done_callback(_chain)
-                    return
-                self.metrics.counter("router.failed").inc()
-                outer.set_error(error)
+                _failed(error)
                 return
             response = pending.result(0.0)
             assert isinstance(response, dict)
             if not response.get("ok"):
                 raw = response.get("error")
-                decoded = _decode_error(
-                    raw if isinstance(raw, dict) else {}, shard
-                )
-                retry_shard = self._dual_check_shard(
-                    inner, shard, decoded, retried
-                )
-                if retry_shard is not None:
-                    self.metrics.counter("router.dual_check_retries").inc()
-                    chained = self._submit_to_shard(
-                        retry_shard, text, deadline_s, inner, retried=True
-                    )
-
-                    def _chain(p: PendingResult) -> None:
-                        chained_error = p.error(0.0)
-                        if chained_error is not None:
-                            outer.set_error(chained_error)
-                        else:
-                            outer.set_result(p.result(0.0))
-
-                    chained.add_done_callback(_chain)
-                    return
-                self.metrics.counter("router.failed").inc()
-                outer.set_error(decoded)
+                _failed(_decode_error(raw if isinstance(raw, dict) else {}, shard))
                 return
             value = response.get("value")
             result = (
@@ -1493,7 +1488,7 @@ class ShardedServer:
                     )
                     target = (
                         stmt.target if stmt.target is not None
-                        else self._fresh_name()
+                        else self._fresh_name(timeout)
                     )
                     target_owner = self.owner(target)
                     self._handles[target_owner].call(
@@ -1689,8 +1684,3 @@ class _LiveShardAccess:
             )
         except DatabaseError:
             pass  # already gone: resume re-runs deletes idempotently
-
-
-# Backward-compatible alias: the ring hash moved to repro.server.rebalance
-# so offline tools (resume, fsck, the crash sweep) need no router import.
-_hash = hash_position

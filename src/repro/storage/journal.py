@@ -105,22 +105,25 @@ def _checked_line(fields: dict) -> str:
     return json.dumps(fields, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def append_checked(path: Path, fields: dict) -> None:
+def append_checked(path: Path, fields: dict) -> int:
     """Append one crc-stamped JSONL record and fsync it durable.
 
     The generic building block behind every journal in the tree (the
     catalog journal here, the rebalance journal in
     :mod:`repro.server.rebalance`): one ``write`` call of
     ``line + "\\n"``, flushed and fsynced, so a torn append is always
-    detectable as a file not ending in a newline.
+    detectable as a file not ending in a newline.  Returns the number
+    of bytes appended.
     """
+    line = _checked_line(fields).encode("utf-8")
     try:
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(_checked_line(fields))
+        with open(path, "ab") as handle:
+            handle.write(line)
             handle.flush()
             os.fsync(handle.fileno())
     except OSError as exc:
         raise JournalError(f"cannot append to journal {path}: {exc}") from exc
+    return len(line)
 
 
 def read_checked(path: Path) -> tuple[list[dict], bool]:
@@ -219,6 +222,17 @@ def _parse_record(fields: dict) -> JournalRecord | None:
     )
 
 
+def _identity(path: Path) -> tuple[int, int, int, int] | None:
+    """``(device, inode, size, mtime)`` of a file; ``None`` when absent."""
+    try:
+        stat = os.stat(path)
+    except FileNotFoundError:
+        return None
+    except OSError as exc:
+        raise JournalError(f"cannot stat journal {path}: {exc}") from exc
+    return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+
 class Journal:
     """The append-only operation journal of one catalog directory.
 
@@ -226,11 +240,21 @@ class Journal:
     cross-process ``catalog.lock`` — the journal itself takes no lock
     (its callers, :class:`~repro.storage.database.Database` and the
     fsck/recovery pass, already serialize on it).
+
+    The writes (:meth:`begin`, :meth:`commit`) reuse the records this
+    instance last read or appended instead of re-parsing the file, but
+    only while the file's identity (device, inode, size, mtime) is the
+    one that produced them: another writer's append or atomic rewrite
+    changes it and forces a fresh :meth:`read`.
     """
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
         self.path = self.directory / JOURNAL_NAME
+        #: ``(identity, records, torn)`` as of the last read or append.
+        self._known: tuple[
+            tuple[int, int, int, int] | None, list[JournalRecord], bool
+        ] | None = None
 
     # ------------------------------------------------------------------
     # Reading
@@ -242,6 +266,9 @@ class Journal:
         before it is returned, and ``torn_tail`` reports whether
         anything was discarded.
         """
+        # Identity first: a write racing the read then only makes the
+        # remembered records look stale, never fresh.
+        identity = _identity(self.path)
         raw_records, torn = read_checked(self.path)
         records: list[JournalRecord] = []
         for fields in raw_records:
@@ -250,14 +277,22 @@ class Journal:
                 torn = True
                 break
             records.append(record)
-        return records, torn
+        self._known = (identity, records, torn)
+        return list(records), torn
+
+    def _current(self) -> tuple[list[JournalRecord], bool]:
+        """The journal's records, re-read only when the file changed."""
+        known = self._known
+        if known is not None and known[0] == _identity(self.path):
+            return list(known[1]), known[2]
+        return self.read()
 
     def pending(
         self, records: list[JournalRecord] | None = None
     ) -> list[JournalRecord]:
         """Begin records with no commit/abort — torn operations."""
         if records is None:
-            records, _ = self.read()
+            records, _ = self._current()
         resolved = {
             r.seq for r in records if r.state in ("commit", "abort")
         }
@@ -271,7 +306,7 @@ class Journal:
     ) -> int:
         """The journal's generation high-water mark (0 when none)."""
         if records is None:
-            records, _ = self.read()
+            records, _ = self._current()
         return max(
             (r.generation for r in records if r.generation is not None),
             default=0,
@@ -279,15 +314,29 @@ class Journal:
 
     def _next_seq(self, records: list[JournalRecord] | None = None) -> int:
         if records is None:
-            records, _ = self.read()
+            records, _ = self._current()
         return max((r.seq for r in records), default=0) + 1
 
     # ------------------------------------------------------------------
     # Writing (callers hold the catalog lock)
     # ------------------------------------------------------------------
     def _append(self, record: JournalRecord) -> None:
-        append_checked(self.path, record.as_fields())
+        before = _identity(self.path)
+        known = self._known
+        size = append_checked(self.path, record.as_fields())
         current_registry().counter("db.journal_records").inc()
+        after = _identity(self.path)
+        # Extend the remembered records only when they described the
+        # file just before this append and the same file grew by
+        # exactly this record.
+        grew = after is not None and (
+            after[2] == size if before is None
+            else after[:2] == before[:2] and after[2] == before[2] + size
+        )
+        if known is not None and known[0] == before and not known[2] and grew:
+            self._known = (after, known[1] + [record], False)
+        else:
+            self._known = None
 
     def begin(self, op: str, name: str, checksum: str | None = None) -> int:
         """Journal the intent of a mutating operation; returns its seq."""
@@ -334,7 +383,7 @@ class Journal:
         threshold.  The rewrite is atomic, and the checkpoint carries
         the next sequence number so seqs stay monotone forever.
         """
-        records, torn = self.read()
+        records, torn = self._current()
         if torn or len(records) < threshold or self.pending(records):
             return False
         self._write_checkpoint(records)
@@ -347,12 +396,14 @@ class Journal:
             generation=self.committed_generation(records),
         )
         rewrite_checked(self.path, [checkpoint.as_fields()])
+        self._known = None
         current_registry().counter("db.journal_compactions").inc()
 
     def truncate_to(self, records: list[JournalRecord]) -> None:
         """Atomically rewrite the journal as exactly ``records``
         (recovery uses this to drop a torn tail)."""
         rewrite_checked(self.path, [r.as_fields() for r in records])
+        self._known = None
 
 
 # ----------------------------------------------------------------------

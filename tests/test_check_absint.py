@@ -12,7 +12,10 @@ Three layers of coverage:
   the exact engine answer must lie inside the inferred interval, the
   runtime verifier must observe zero violations, and certified-empty
   plans must short-circuit without changing any answer (checked against
-  both the skipping engine and the naive interpreter).
+  both the skipping engine and the Section 6 algorithms called
+  directly); and the dataguide's zero-existence proof
+  (:meth:`PathIndex.can_match`) never fires where absint's does not —
+  absint's short-circuit is the engine's only emptiness proof.
 """
 
 import dataclasses
@@ -34,6 +37,7 @@ from repro.core.builder import InstanceBuilder
 from repro.engine.cost import CostModel
 from repro.engine.executor import Engine
 from repro.engine.plan import PlanBuilder, QueryNode, ScanNode, fingerprint
+from repro.index import PathIndex
 from repro.obs.metrics import MetricsRegistry
 from repro.pxql import Interpreter
 from repro.semistructured.paths import PathExpression
@@ -43,6 +47,7 @@ from repro.workloads.generator import (
     generate_workload,
     random_projection_path,
 )
+from tests.oracle import Oracle
 
 TOL = 1e-9
 
@@ -316,16 +321,17 @@ class TestEngineIntegration:
         assert result.certificate is None
         assert engine.metrics.counter("check.absint_skips").value == 0
 
-    def test_index_skip_takes_precedence(self, database):
-        # With the structural index on, the dataguide skip inside the
-        # indexed operator serves dead paths; absint defers to it so the
-        # index's own skip statistics stay meaningful.
+    def test_indexed_plan_skips_through_absint(self, database):
+        # With the structural index on, a dead path is still served by
+        # the absint short-circuit: the indexed operator has no skip of
+        # its own.
         plan = QueryNode("count", ScanNode("bib"),
                          path=PathExpression("R", ("book", DEAD_LABEL)))
         engine = _engine(database, use_index=True, caching=False)
         result = engine.execute_plan(plan)
         assert result.value == 0.0
-        assert engine.metrics.counter("check.absint_skips").value == 0
+        assert engine.metrics.counter("check.absint_skips").value == 1
+        assert result.stats.strategy == "absint"
 
     def test_cost_model_consumes_tight_hints(self, database):
         model = CostModel(database)
@@ -389,7 +395,7 @@ def test_dead_plan_parity_and_skip(spec):
     """PX260 short-circuits are answer-preserving on the corpus.
 
     The same dead-path queries run on an absint engine and a plain one
-    (plus the naive interpreter for ``EXISTS``); all answers must agree
+    (plus the direct Section 6 call for ``EXISTS``); all answers must agree
     and the absint engine must actually have served them as skips.
     """
     workload, path, _oid = _workload_targets(spec)
@@ -405,7 +411,7 @@ def test_dead_plan_parity_and_skip(spec):
     assert on.metrics.counter("check.absint_skips").value == 3
     assert off.metrics.counter("check.absint_skips").value == 0
 
-    naive = Interpreter(Database(), strategy="naive")
+    naive = Oracle()
     naive.database.register("base", workload.instance.copy())
     assert naive.execute(f"EXISTS {dead} IN base").value == 0.0
 
@@ -436,4 +442,52 @@ def test_property_interval_soundness(labeling, opf_kind, seed, kind,
     lo, hi = result.certificate.result
     answer = _scalar_answer(kind, result.value)
     assert lo - TOL <= answer <= hi + TOL
+    assert engine.metrics.counter("check.absint_violations").value == 0
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    labeling=st.sampled_from(("SL", "FR")),
+    opf_kind=st.sampled_from(("tabular", "independent")),
+    branching=st.integers(min_value=2, max_value=3),
+    depth=st.integers(min_value=3, max_value=4),
+    seed=st.integers(min_value=0, max_value=10_000),
+    mode=st.sampled_from(("live", "suffixed", "relabelled")),
+)
+def test_property_dataguide_emptiness_implies_absint_skip(
+    labeling, opf_kind, branching, depth, seed, mode
+):
+    """Property: wherever the dataguide proves a path empty
+    (``PathIndex.can_match is False``), the absint certificate of every
+    numeric query kind over that scan is skippable — so dropping the
+    index-side skip lost no short-circuit — and every answer equals the
+    walked engine's with index and absint off."""
+    spec = WorkloadSpec(depth=depth, branching=branching, labeling=labeling,
+                        opf_kind=opf_kind, seed=seed)
+    workload, path, oid = _workload_targets(spec)
+    if mode == "suffixed":
+        path = dataclasses.replace(path, labels=path.labels + (DEAD_LABEL,))
+    elif mode == "relabelled":
+        # Labels drawn per depth without demanding a structural match:
+        # a mix of live and dead paths.
+        rng = random.Random(seed)
+        path = dataclasses.replace(path, labels=tuple(
+            rng.choice(sorted(pool)) for pool in workload.labels_by_depth
+        ))
+    database = Database()
+    database.register("base", workload.instance)
+    provably_empty = PathIndex().can_match(database, "base", path) is False
+    engine = _engine(database, caching=False)
+    walked = _engine(database, caching=False, use_index=False, absint=False)
+    for kind in ("exists", "count", "dist", "point"):
+        plan = _query_plan(kind, "base", path, oid=oid)
+        result = engine.execute_plan(plan)
+        if provably_empty:
+            assert result.certificate is not None
+            assert result.certificate.skippable, kind
+        assert result.value == pytest.approx(
+            walked.execute_plan(plan).value, abs=TOL
+        ), kind
+    if provably_empty:
+        assert engine.metrics.counter("check.absint_skips").value == 4
     assert engine.metrics.counter("check.absint_violations").value == 0

@@ -10,7 +10,8 @@ Three contracts from the subsystem's design:
    existence probability exactly.
 3. *Checker/runtime agreement*: on >= 20 generated instances the plan
    checker's never-match and unsatisfiable-guard verdicts agree with
-   what naive execution actually does.
+   what naive execution — the Section 6 algorithms called directly —
+   actually does.
 """
 
 import random
@@ -25,7 +26,6 @@ from repro.check.model import has_errors, lint_instance
 from repro.check.plans import check_plan
 from repro.engine.plan import PlanBuilder
 from repro.errors import EmptyResultError
-from repro.pxql import Interpreter
 from repro.semistructured.paths import PathExpression, match_path
 from repro.storage.database import Database
 from repro.workloads.generator import (
@@ -33,6 +33,7 @@ from repro.workloads.generator import (
     generate_workload,
     random_projection_path,
 )
+from tests.oracle import Oracle
 
 SPEC_STRATEGY = st.builds(
     WorkloadSpec,
@@ -116,7 +117,7 @@ def test_never_match_verdicts_agree_with_naive_execution(spec):
 
     database = Database()
     database.register("base", workload.instance)
-    naive = Interpreter(database, strategy="naive", check="off")
+    naive = Oracle(database)
 
     # Checker: the live path is fine, the dead one is a never-match.
     live_plan = PlanBuilder.scan("base").project(live_path).build()
@@ -154,6 +155,6 @@ def test_unsatisfiable_guard_verdicts_agree_with_naive_execution(spec):
     ).build()
     assert "PX225" in [d.code for d in check_plan(plan, database)]
 
-    naive = Interpreter(database, strategy="naive", check="off")
+    naive = Oracle(database)
     with pytest.raises(EmptyResultError):
         naive.execute(f"SELECT {path} = {oid} AND PROB > 1.0 FROM base")

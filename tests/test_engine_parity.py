@@ -1,8 +1,9 @@
-"""Randomized parity: the engine path must equal the naive eager path.
+"""Randomized parity: the engine must equal the Section 6 algorithms.
 
 Every rewrite rule and the full optimizer are checked against the
-original one-call-per-statement interpreter on generated instances
-(Section 7.1 workloads); probabilities must agree within 1e-9.  The
+paper's local algorithms called directly, one call per statement
+(:class:`tests.oracle.Oracle`), on generated instances (Section 7.1
+workloads); probabilities must agree within 1e-9.  The
 suite runs on 52 generated instances (13 seeds x 2 labelings x 2 OPF
 representations) plus hand-built disjoint-OID instances for the product
 cases (generated instances share the ``o0, o1, ...`` namespace, so they
@@ -32,6 +33,7 @@ from repro.workloads.generator import (
     random_projection_path,
     random_selection_target,
 )
+from tests.oracle import Oracle
 
 TOL = 1e-9
 
@@ -61,7 +63,7 @@ def _point(pi, path, oid):
 
 
 # ----------------------------------------------------------------------
-# Full-path parity: engine interpreter vs the naive eager interpreter
+# Full-path parity: engine interpreter vs direct Section 6 calls
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("spec", SPECS, ids=_spec_id)
 def test_statement_parity(spec):
@@ -73,8 +75,8 @@ def test_statement_parity(spec):
     graph = workload.instance.weak.graph()
     child = sorted(graph.children(workload.instance.root))[0]
 
-    naive = Interpreter(Database(), strategy="naive")
-    engine = Interpreter(Database(), strategy="engine")
+    naive = Oracle()
+    engine = Interpreter(Database())
     for interp in (naive, engine):
         interp.database.register("base", workload.instance.copy())
     # Runtime soundness: every engine execution is checked against its
@@ -231,8 +233,8 @@ class TestProductParity:
 
     def test_product_statement_parity(self):
         left, right = _disjoint_pair()
-        naive = Interpreter(Database(), strategy="naive")
-        engine = Interpreter(Database(), strategy="engine")
+        naive = Oracle()
+        engine = Interpreter(Database())
         for interp in (naive, engine):
             interp.database.register("l", left.copy())
             interp.database.register("r", right.copy())

@@ -505,8 +505,9 @@ def test_engine_runtime_fallback_on_stale_lowering():
 
 
 def test_engine_skips_provably_unmatchable_paths():
-    """The dataguide proves R.movie can never match: the engine must
-    short-circuit without building a match, and count the skip."""
+    """R.movie can never match: the engine must short-circuit through
+    the absint certificate (its only emptiness proof) without building
+    a match, and count the skip."""
     registry = MetricsRegistry()
     database = Database()
     database.register("bib", build_bib())
@@ -521,10 +522,10 @@ def test_engine_skips_provably_unmatchable_paths():
     assert count.value == 0.0
     dist = engine.execute_plan(QueryNode("dist", ScanNode("bib"), path=absent))
     assert dist.value == {0: 1.0}
-    assert registry.counter("index.skipped_instances").value == 3
-    assert any(
-        stats.extra.get("index") == "skipped" for stats in exists.stats.walk()
-    )
+    assert registry.counter("check.absint_skips").value == 3
+    assert registry.counter("index.builds").value == 0
+    assert exists.stats.strategy == "absint"
+    assert exists.stats.extra == {"absint": "empty"}
 
     # Parity: the walked engine agrees the probability is zero.
     plain = Engine(database, caching=False, use_index=False)

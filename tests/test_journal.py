@@ -87,6 +87,68 @@ class TestJournalRecords:
         assert not journal.maybe_compact(threshold=1)
 
 
+class TestParsedRecordReuse:
+    """Writes reuse the parsed records while the file is unchanged."""
+
+    @staticmethod
+    def _count_reads(monkeypatch):
+        from repro.storage import journal as journal_module
+
+        calls = []
+        original = journal_module.read_checked
+
+        def counting(path):
+            calls.append(path)
+            return original(path)
+
+        monkeypatch.setattr(journal_module, "read_checked", counting)
+        return calls
+
+    def test_reads_per_save_do_not_grow_with_the_journal(
+        self, tmp_path, monkeypatch
+    ):
+        db = Database(tmp_path)
+        db.register("a", figure2_instance())
+        calls = self._count_reads(monkeypatch)
+
+        def reads_per_save():
+            before = len(calls)
+            db.save("a")
+            return len(calls) - before
+
+        short = [reads_per_save() for _ in range(3)]
+        for _ in range(150):
+            db.save("a")
+        assert len(db.journal.read()[0]) > 300
+        long = [reads_per_save() for _ in range(3)]
+        assert long == short == [0, 0, 0]
+
+    def test_other_writer_forces_a_fresh_read(self, tmp_path):
+        first = Journal(tmp_path)
+        second = Journal(tmp_path)
+        seqs = [first.begin("save", "a")]
+        first.commit(seqs[-1], "save", "a", generation=1)
+        seqs.append(second.begin("drop", "b"))
+        second.commit(seqs[-1], "drop", "b", generation=2)
+        seqs.append(first.begin("save", "c"))
+        first.commit(seqs[-1], "save", "c", generation=3)
+        assert seqs == sorted(set(seqs))
+        records, torn = Journal(tmp_path).read()
+        assert not torn
+        assert [r.seq for r in records if r.state == "begin"] == seqs
+
+    def test_rewrite_by_another_writer_is_seen(self, tmp_path):
+        first = Journal(tmp_path)
+        for index in range(4):
+            seq = first.begin("save", f"n{index}")
+            first.commit(seq, "save", f"n{index}", generation=index + 1)
+        assert Journal(tmp_path).maybe_compact(threshold=4)
+        seq = first.begin("save", "after")
+        assert seq > 4
+        assert first.pending() != []
+        assert [r.state for r in first.read()[0]] == ["checkpoint", "begin"]
+
+
 class TestReplay:
     def test_torn_save_rolls_forward(self, tmp_path):
         db = Database(tmp_path)

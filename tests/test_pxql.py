@@ -216,6 +216,21 @@ class TestInterpreter:
         interpreter.execute(f'LOAD again FROM "{target}"')
         assert "again" in interpreter.database
 
+    def test_fresh_names_skip_saved_results(self, tmp_path):
+        # A reopened catalog restarts the counter; the saved _result1
+        # must not be overwritten by the next unnamed result.
+        first = Interpreter(Database(tmp_path))
+        first.database.register("bib", build_bib())
+        first.execute("SAVE bib")
+        assert first.execute("PROJECT R.book FROM bib").instance_name == "_result1"
+        first.execute("SAVE _result1")
+        saved = first.database.get("_result1").objects
+
+        reopened = Interpreter(Database(tmp_path))
+        result = reopened.execute("PROJECT R.book.author FROM bib")
+        assert result.instance_name == "_result2"
+        assert Database(tmp_path).get("_result1").objects == saved
+
 
 class TestCLI:
     def test_cli_single_statement(self, tmp_path, capsys):

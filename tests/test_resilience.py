@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from repro.errors import BudgetExceeded, FaultError, PXMLError
+from repro.check.diagnostics import CheckError
+from repro.core.builder import InstanceBuilder
+from repro.errors import BudgetExceeded, EmptyResultError, FaultError, PXMLError
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.tracing import Tracer, use_tracer
 from repro.paper import figure2_instance
@@ -24,6 +26,7 @@ from repro.resilience import (
     retry_call,
     use_budget,
 )
+from tests.oracle import Oracle
 
 
 class FakeClock:
@@ -362,21 +365,66 @@ class TestEngineDegradation:
         ).value >= 1.0
 
     def test_statement_falls_back_to_naive_path(self):
+        # The degradation target is the bare engine configuration (no
+        # rules, caches, index or absint) over the same catalog.
         interpreter = _fig2_interpreter()
+        engine = interpreter.engine
 
         def explode(statement):
             raise RuntimeError("engine exploded")
 
-        interpreter.engine.execute_statement = explode
+        engine.execute_statement = explode
         result = interpreter.execute("PROB B1 IN fig2")
         assert result.value == pytest.approx(0.8)
-        assert interpreter.strategy == "engine"  # restored after fallback
-        assert len(interpreter.fallbacks) == 1
-        label, error = interpreter.fallbacks[0]
-        assert "PROB" in label and "exploded" in str(error)
+        assert interpreter.engine is engine  # restored after the re-run
         assert interpreter.metrics.counter(
             "resilience.fallbacks"
         ).value == 1.0
+        (event,) = [
+            span for span in interpreter.tracer.last.children
+            if span.name == "resilience.fallback"
+        ]
+        assert "PROB" in event.attributes["statement"]
+        assert "exploded" in event.attributes["error"]
+
+    def test_algebra_statement_reruns_on_bare_engine(self):
+        builder = InstanceBuilder("R")
+        builder.children("R", "book", ["B1", "B2"])
+        builder.opf("R", {("B1",): 0.5, ("B1", "B2"): 0.3, (): 0.2})
+        interpreter = Interpreter()
+        interpreter.database.register("bib", builder.build())
+        engine = interpreter.engine
+        expected = Oracle(interpreter.database).execute(
+            "PROJECT R.book FROM bib AS expected"
+        ).value
+
+        def explode(plan):
+            raise RuntimeError("engine exploded")
+
+        engine.execute_plan = explode
+        result = interpreter.execute("PROJECT R.book FROM bib AS books")
+        assert result.instance_name == "books"
+        assert interpreter.database.get("books").objects == expected.objects
+        assert interpreter.metrics.counter(
+            "resilience.fallbacks"
+        ).value == 1.0
+
+    @pytest.mark.parametrize("error", [
+        EmptyResultError("nothing selected"),
+        CheckError([]),
+    ], ids=lambda error: type(error).__name__)
+    def test_semantic_errors_are_not_degraded(self, error):
+        interpreter = _fig2_interpreter()
+
+        def explode(statement):
+            raise error
+
+        interpreter.engine.execute_statement = explode
+        with pytest.raises(type(error)):
+            interpreter.execute("PROB B1 IN fig2")
+        assert interpreter.metrics.counter(
+            "resilience.fallbacks"
+        ).value == 0.0
 
     def test_budget_errors_are_not_degraded(self):
         interpreter = _fig2_interpreter()
@@ -387,7 +435,9 @@ class TestEngineDegradation:
         interpreter.engine.execute_statement = explode
         with pytest.raises(BudgetExceeded):
             interpreter.execute("PROB B1 IN fig2")
-        assert interpreter.fallbacks == []
+        assert interpreter.metrics.counter(
+            "resilience.fallbacks"
+        ).value == 0.0
 
     def test_catalog_errors_are_not_degraded(self):
         interpreter = _fig2_interpreter()
@@ -395,7 +445,9 @@ class TestEngineDegradation:
 
         with pytest.raises(DatabaseError):
             interpreter.execute("PROB B1 IN nonexistent")
-        assert interpreter.fallbacks == []
+        assert interpreter.metrics.counter(
+            "resilience.fallbacks"
+        ).value == 0.0
 
 
 # ----------------------------------------------------------------------

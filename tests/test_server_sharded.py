@@ -118,6 +118,27 @@ class TestRouting:
         dropped = sharded.execute(f"DROP {off_home}", timeout_s=60.0)
         assert dropped.text == f"dropped {off_home}"
 
+    def test_unnamed_results_on_two_shards_never_collide(self, sharded):
+        # Each shard's first worker mints its first unnamed result; the
+        # names must differ so the overlay can route both.
+        mirror = sharded.mirror_name
+        first = sharded.execute(
+            "PROJECT R.book FROM bib", timeout_s=60.0
+        ).instance_name
+        second = sharded.execute(
+            f"PROJECT m_R.book FROM {mirror}", timeout_s=60.0
+        ).instance_name
+        assert first != second
+        assert sharded.owner(first) == sharded.owner("bib")
+        assert sharded.owner(second) == sharded.owner(mirror)
+        sharded.execute(f"DROP {first}", timeout_s=60.0)
+        listed = sharded.execute("LIST", timeout_s=60.0).value
+        assert first not in listed and second in listed
+        assert sharded.execute(
+            f"EXISTS m_R.book IN {second}", timeout_s=60.0
+        ).value > 0.0
+        sharded.execute(f"DROP {second}", timeout_s=60.0)
+
     def test_parse_errors_travel_through_the_future(self, sharded):
         with pytest.raises(PXMLError):
             sharded.execute("FROB the knob", timeout_s=10.0)
@@ -210,6 +231,42 @@ class TestFailover:
                 STABLE_QUERY, timeout_s=60.0
             ).value == pytest.approx(reference)
             assert server.metrics.value("router.shard_restarts") == 1
+        finally:
+            server.stop(drain=False, timeout_s=15.0)
+
+    def test_router_fresh_names_skip_saved_results(self, tmp_path):
+        # A reopened root restarts the router's counter; its next
+        # unnamed cross-shard product must not overwrite a saved one.
+        def cross_product(server, tag):
+            home = server.owner("bib")
+            other = pick_name(server, 1 - home, f"{tag}_other")
+            server.register_instance(
+                other, dumps(renamed_copy(build_bib(), tag)), save=True
+            )
+            return server.execute(
+                f"PRODUCT bib, {other} ROOT {tag}_root", timeout_s=60.0
+            ).instance_name
+
+        server = ShardedServer(
+            tmp_path, shards=2, workers_per_shard=1, poll_s=0.005
+        )
+        server.start()
+        try:
+            server.register_instance("bib", dumps(build_bib()), save=True)
+            saved = cross_product(server, "a")
+            server.execute(f"SAVE {saved}", timeout_s=60.0)
+        finally:
+            server.stop(drain=False, timeout_s=15.0)
+
+        server = ShardedServer(
+            tmp_path, shards=2, workers_per_shard=1, poll_s=0.005
+        )
+        server.start()
+        try:
+            fresh = cross_product(server, "b")
+            assert fresh != saved
+            assert loads(server.fetch_instance(saved)).root == "a_root"
+            assert loads(server.fetch_instance(fresh)).root == "b_root"
         finally:
             server.stop(drain=False, timeout_s=15.0)
 
